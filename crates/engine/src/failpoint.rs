@@ -14,8 +14,8 @@
 //!
 //! | name             | where                                   | `Err` action means |
 //! |------------------|------------------------------------------|--------------------|
-//! | `pool.join`      | inside every parallel join task          | panics (job has no error channel) |
-//! | `pool.merge`     | inside every per-shard merge job         | panics (ditto) |
+//! | `pool.join`      | inside every parallel join job           | panics (job has no error channel) |
+//! | `pool.merge`     | inside every per-shard drain job         | panics (ditto) |
 //! | `eval.round`     | start of every fixpoint round            | `EngineError::Io` |
 //! | `optimizer.push` | before the optimizer's push stage        | analysis error |
 //! | `io.load`        | per CSV file in [`crate::io::load_file`] | `EngineError::Io` |

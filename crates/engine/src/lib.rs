@@ -47,6 +47,6 @@ pub use incr::{
     tx_to_stream, Materialized, Tx, TxDelta, TxStreamError, TxStreamEvent, TxStreamParser,
     UpdateStats,
 };
-pub use pool::{JobPanic, PhasePanic, WorkerPool};
+pub use pool::{JobPanic, WorkerPool};
 pub use relation::{CodeMap, Relation, RowRange, Tuple};
 pub use stats::{PoolStats, Stats};

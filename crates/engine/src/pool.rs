@@ -45,17 +45,6 @@ pub struct JobPanic {
     pub payload: String,
 }
 
-/// A job panicked during [`WorkerPool::run_phases`]: a [`JobPanic`]
-/// plus which phase it happened in. No phase after `phase` was
-/// dispatched.
-#[derive(Clone, Debug)]
-pub struct PhasePanic {
-    /// Index of the failing phase.
-    pub phase: usize,
-    /// The first panicking job of that phase.
-    pub panic: JobPanic,
-}
-
 /// Counters for one [`WorkerPool::run`] batch.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct BatchStats {
@@ -206,30 +195,6 @@ impl WorkerPool {
             Err(p) => panic!("worker job panicked: job {}: {}", p.job, p.payload),
         }
     }
-
-    /// Runs a sequence of heterogeneous job batches with a full barrier
-    /// between consecutive phases: phase `i + 1` is not dispatched until
-    /// every job of phase `i` has completed. This is the evaluator's
-    /// two-phase round shape — a join batch producing shard-routed
-    /// buffers, then a merge batch with one job per shard — where the
-    /// barrier is what makes the per-shard dedup sets safely lock-free.
-    ///
-    /// Returns one [`BatchStats`] per phase, so callers can attribute
-    /// busy time to each phase separately. A panicking job surfaces as
-    /// the `Err` variant (no `panic!` escalation on the control
-    /// thread): the failing phase is still fully drained first (every
-    /// one of its jobs has finished), no later phase is ever
-    /// dispatched, and the pool remains usable for subsequent batches.
-    pub fn run_phases(&self, phases: Vec<Vec<Job<'_>>>) -> Result<Vec<BatchStats>, PhasePanic> {
-        let mut out = Vec::with_capacity(phases.len());
-        for (i, jobs) in phases.into_iter().enumerate() {
-            match self.try_run(jobs) {
-                Ok(stats) => out.push(stats),
-                Err(panic) => return Err(PhasePanic { phase: i, panic }),
-            }
-        }
-        Ok(out)
-    }
 }
 
 impl Drop for WorkerPool {
@@ -360,28 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn run_phases_reports_per_phase_stats() {
-        let pool = WorkerPool::new(3);
-        let counter = AtomicUsize::new(0);
-        let phase = |n: usize| -> Vec<Job<'_>> {
-            (0..n)
-                .map(|_| {
-                    let c = &counter;
-                    Box::new(move || {
-                        c.fetch_add(1, Ordering::SeqCst);
-                    }) as Job<'_>
-                })
-                .collect()
-        };
-        let stats = pool
-            .run_phases(vec![phase(5), phase(3), phase(7)])
-            .expect("no job panics");
-        assert_eq!(counter.load(Ordering::SeqCst), 15);
-        let jobs: Vec<u64> = stats.iter().map(|s| s.jobs).collect();
-        assert_eq!(jobs, vec![5, 3, 7]);
-    }
-
-    #[test]
     fn try_run_reports_first_panicking_job_and_payload() {
         let pool = WorkerPool::new(2);
         let jobs: Vec<Job<'_>> = vec![
@@ -398,77 +341,5 @@ mod tests {
         assert_eq!(err.payload, "non-string panic payload");
         // The pool is fully usable after caught panics.
         assert_eq!(pool.run(vec![Box::new(|| {}) as Job<'_>]).jobs, 1);
-    }
-
-    /// The two-phase contract the sharded merge relies on: every job of
-    /// the join phase completes before the merge phase starts, and a
-    /// panicking merge job fails the batch as an error return (no
-    /// control-thread panic) — after its own phase drained and without
-    /// dispatching any later phase.
-    #[test]
-    fn phase_barrier_holds_under_panicking_merge_job() {
-        let pool = WorkerPool::new(4);
-        let joins_done = AtomicUsize::new(0);
-        let merges_started = AtomicUsize::new(0);
-        let late_phase_ran = AtomicUsize::new(0);
-        let join_jobs: Vec<Job<'_>> = (0..8)
-            .map(|_| {
-                let j = &joins_done;
-                Box::new(move || {
-                    // Stagger completions so a broken barrier would race.
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                    j.fetch_add(1, Ordering::SeqCst);
-                }) as Job<'_>
-            })
-            .collect();
-        let merge_jobs: Vec<Job<'_>> = (0..4)
-            .map(|s| {
-                let j = &joins_done;
-                let m = &merges_started;
-                Box::new(move || {
-                    m.fetch_add(1, Ordering::SeqCst);
-                    // Barrier assertion: all 8 join jobs already ran.
-                    assert_eq!(j.load(Ordering::SeqCst), 8, "merge before join barrier");
-                    if s == 1 {
-                        panic!("merge shard failure");
-                    }
-                }) as Job<'_>
-            })
-            .collect();
-        let never: Vec<Job<'_>> = vec![Box::new(|| {
-            late_phase_ran.fetch_add(1, Ordering::SeqCst);
-        })];
-        let err = pool
-            .run_phases(vec![join_jobs, merge_jobs, never])
-            .expect_err("merge panic must surface as an error");
-        assert_eq!(err.phase, 1, "failure attributed to the merge phase");
-        assert_eq!(err.panic.job, 1);
-        assert_eq!(err.panic.payload, "merge shard failure");
-        assert_eq!(joins_done.load(Ordering::SeqCst), 8);
-        // The panicking phase was fully drained (all 4 merge jobs ran,
-        // including the ones dispatched after the panicking one)...
-        assert_eq!(merges_started.load(Ordering::SeqCst), 4);
-        // ...and the phase after the failure never started.
-        assert_eq!(late_phase_ran.load(Ordering::SeqCst), 0);
-        // The pool survives the caught panic and runs a full subsequent
-        // two-phase batch — no poisoned worker, channel, or lock.
-        let ok = AtomicUsize::new(0);
-        let again = |n: usize| -> Vec<Job<'_>> {
-            (0..n)
-                .map(|_| {
-                    let c = &ok;
-                    Box::new(move || {
-                        c.fetch_add(1, Ordering::SeqCst);
-                    }) as Job<'_>
-                })
-                .collect()
-        };
-        let stats = pool
-            .run_phases(vec![again(6), again(3)])
-            .expect("pool reusable after a caught panic");
-        assert_eq!(ok.load(Ordering::SeqCst), 9);
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].jobs, 6);
-        assert_eq!(stats[1].jobs, 3);
     }
 }

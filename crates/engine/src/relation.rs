@@ -80,32 +80,61 @@ impl RowRange {
     }
 }
 
-/// Empty slot marker in [`RowSet`] and [`CodeMap`] (the slot's low
-/// half).
+/// Empty slot marker in a [`Part`] and a [`CodeMap`] (the slot's low
+/// half). Not zero on purpose: filling a fresh slot array with it
+/// touches the pages in order, which is cheaper than taking their first
+/// faults at the random offsets of the inserts that follow.
 const EMPTY: u32 = u32::MAX;
-/// Deleted-slot marker in [`RowSet`] (the slot's id half): does not stop
-/// a probe walk, may be reused by a later insert.
+/// Deleted-slot marker in a [`Part`] (the slot's id half): does not
+/// stop a probe walk, may be reused by a later insert.
 const TOMB: u32 = u32::MAX - 1;
-/// Mask selecting the fingerprint half of a [`RowSet`] slot: the high 32
-/// bits of the row-content hash (the low bits pick the probe start, so
-/// the halves are independent).
+/// Mask selecting the fingerprint half of a [`Part`] slot: the high 32
+/// bits of the row-content hash.
 const FP_MASK: u64 = 0xFFFF_FFFF_0000_0000;
 
-/// The relation's set-semantics membership structure: a flat
-/// open-addressing table probed linearly from a row-content hash. Each
-/// slot packs a physical row id (low half) with the hash's high 32 bits
-/// as a fingerprint (high half), so a probe step decides
+/// The shard — and dedup-table part — of a row with content hash `h`
+/// among `k` (a power of two): the hash's low bits. The evaluator's
+/// shard routing and [`RowSet`]'s partitioning both go through here;
+/// if they disagreed, a drain job would insert into a part another job
+/// owns.
+#[inline]
+pub(crate) fn shard_of(h: u64, k: usize) -> usize {
+    debug_assert!(k.is_power_of_two(), "shard count must be a power of two");
+    h as usize & (k - 1)
+}
+
+/// Hints the cache line holding `*r` into L1. Purely a hint; no-op off
+/// x86-64.
+#[inline]
+fn prefetch<T>(r: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `r` is a live reference, and a prefetch reads no memory
+    // architecturally.
+    unsafe {
+        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
+            r as *const T as *const i8,
+        );
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = r;
+}
+
+/// One hash-disjoint part of a [`RowSet`]: a flat open-addressing
+/// table probed linearly from a row-content hash. Each slot packs a
+/// physical row id (low half) with the hash's high 32 bits as a
+/// fingerprint (high half), so a probe step decides
 /// almost-certainly-equal/unequal from the slot line alone — no
 /// dependent load of a hash column — and only fingerprint matches touch
-/// the flat row store to verify by content. Probes therefore touch one
-/// predictable cache line per step, and the drain loop can
-/// software-prefetch that line for a whole batch of pending rows before
-/// walking any of them. A std `HashMap` keeps its control bytes and
-/// entries behind an opaque allocation, which makes that batching
-/// impossible; on the insert-heavy fixpoint drain the prefetched flat
-/// table is ~2x faster.
+/// the row store to verify by content. The probe sequence starts at the
+/// fingerprint's low bits, so a slot alone says where it belongs: a
+/// grow re-files every entry from the old array without reading the
+/// per-row hash column, and in array order, so both arrays are walked
+/// almost sequentially. A std `HashMap` keeps its control bytes and
+/// entries behind an opaque allocation, which makes batched software
+/// prefetching impossible; on the insert-heavy fixpoint drain the
+/// prefetched flat table is ~2x faster.
 #[derive(Debug, Clone, Default)]
-struct RowSet {
+pub(crate) struct Part {
     /// Power-of-two array of `fingerprint << 32 | row id` slots; the id
     /// half is [`EMPTY`] or [`TOMB`] for vacant slots.
     slots: Vec<u64>,
@@ -114,28 +143,139 @@ struct RowSet {
     live: usize,
     /// Tombstoned slots (deleted rows); reclaimed on grow.
     tombs: usize,
+    /// Pending reservation: the slot capacity [`Part::reserve`]
+    /// computed, consumed by the next grow-triggering insert (0 = none).
+    /// Deferring the jump to the natural ½-load trigger keeps the rehash
+    /// on the lazy schedule while still replacing a chain of doublings
+    /// with one sized jump.
+    reserve_hint: usize,
+    /// Grows forced mid-insert after the part was first sized — the
+    /// stall reservations exist to eliminate (`Stats::dedup_regrows`).
+    regrows: u64,
 }
 
-impl RowSet {
-    /// First slot of the probe sequence for hash `h`.
+/// Where a probe walk for one row ended.
+enum Probe {
+    /// A live entry with this row id matched.
+    Found,
+    /// No match; the slot an insert should claim (the first tombstone
+    /// on the walk, else the terminating empty slot).
+    Vacant(usize),
+}
+
+impl Part {
+    /// First slot of the probe sequence for hash `h`: the fingerprint's
+    /// low bits (the part index takes the hash's low bits, so the two
+    /// choices are independent).
     #[inline]
     fn start(&self, h: u64) -> usize {
-        (h as usize) & self.mask
+        (h >> 32) as usize & self.mask
     }
 
     /// Packs a row id with its hash's fingerprint half.
     #[inline]
     fn entry(h: u64, id: u32) -> u64 {
+        debug_assert!(id < TOMB, "row id space exhausted");
         (h & FP_MASK) | id as u64
     }
 
-    /// Grows (or initially sizes) the table to an explicit power-of-two
-    /// capacity, re-inserting every live row id; `row_hash` is the
-    /// relation's per-row hash column. A caller that knows how many
-    /// inserts are coming jumps here once instead of paying a chain of
-    /// doubling rehashes mid-drain ([`Relation::grow_for_insert`]).
+    /// True when an insert must grow first: the table is unallocated,
+    /// or live entries would exceed ½ capacity, or live plus tombstones
+    /// would exceed ¾ (probe walks stay short).
+    #[inline]
+    fn needs_grow(&self) -> bool {
+        let cap = self.slots.len();
+        cap == 0 || 2 * (self.live + 1) > cap || 4 * (self.live + self.tombs + 1) > 3 * cap
+    }
+
+    /// Walks `h`'s probe sequence until an entry whose fingerprint
+    /// matches and whose row satisfies `eq` ([`Probe::Found`]) or an
+    /// empty slot ([`Probe::Vacant`]). The table must be allocated.
+    #[inline]
+    fn probe(&self, h: u64, mut eq: impl FnMut(u32) -> bool) -> Probe {
+        let mut s = self.start(h);
+        let mut free = usize::MAX;
+        loop {
+            let slot = self.slots[s];
+            let id = slot as u32;
+            if id == EMPTY {
+                return Probe::Vacant(if free == usize::MAX { s } else { free });
+            }
+            if id == TOMB {
+                if free == usize::MAX {
+                    free = s;
+                }
+            } else if slot & FP_MASK == h & FP_MASK && eq(id) {
+                return Probe::Found;
+            }
+            s = (s + 1) & self.mask;
+        }
+    }
+
+    /// Files row `id` (hash `h`) in the vacant slot `s` a
+    /// [`Part::probe`] returned.
+    #[inline]
+    fn claim(&mut self, s: usize, h: u64, id: u32) {
+        if self.slots[s] as u32 == TOMB {
+            self.tombs -= 1;
+        }
+        self.slots[s] = Part::entry(h, id);
+        self.live += 1;
+    }
+
+    /// The live row ids whose fingerprint matches `h`, in probe order.
+    /// Candidates are almost always content-equal, but callers still
+    /// verify by row comparison (fingerprints are 32 bits).
+    #[inline]
+    fn matches(&self, h: u64) -> impl Iterator<Item = u32> + '_ {
+        let mut s = self.start(h);
+        let mut done = self.slots.is_empty();
+        std::iter::from_fn(move || {
+            while !done {
+                let slot = self.slots[s];
+                let id = slot as u32;
+                if id == EMPTY {
+                    done = true;
+                    break;
+                }
+                s = (s + 1) & self.mask;
+                if id != TOMB && slot & FP_MASK == h & FP_MASK {
+                    return Some(id);
+                }
+            }
+            None
+        })
+    }
+
+    /// Tombstones the live entry under `h` satisfying `is_target`,
+    /// returning its row id.
+    fn unlink(&mut self, h: u64, mut is_target: impl FnMut(u32) -> bool) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mut s = self.start(h);
+        loop {
+            let slot = self.slots[s];
+            let id = slot as u32;
+            if id == EMPTY {
+                return None;
+            }
+            if id != TOMB && slot & FP_MASK == h & FP_MASK && is_target(id) {
+                self.slots[s] = TOMB as u64;
+                self.live -= 1;
+                self.tombs += 1;
+                return Some(id);
+            }
+            s = (s + 1) & self.mask;
+        }
+    }
+
+    /// Re-files every live entry into a fresh array of `cap` (a power of
+    /// two) slots, reporting each move as `(row id, new slot)`. Needs no
+    /// per-row hashes: the start slot is a function of the fingerprint
+    /// the entry already carries.
     #[cold]
-    fn grow_to(&mut self, cap: usize, row_hash: &[u64]) {
+    fn grow_to(&mut self, cap: usize, mut moved: impl FnMut(u32, usize)) {
         let old = std::mem::replace(&mut self.slots, vec![EMPTY as u64; cap]);
         self.mask = cap - 1;
         self.tombs = 0;
@@ -144,50 +284,322 @@ impl RowSet {
             if id == EMPTY || id == TOMB {
                 continue;
             }
-            let h = row_hash[id as usize];
-            let mut s = self.start(h);
+            let mut s = self.start(slot);
             while self.slots[s] as u32 != EMPTY {
                 s = (s + 1) & self.mask;
             }
-            self.slots[s] = RowSet::entry(h, id);
+            self.slots[s] = slot;
+            moved(id, s);
         }
     }
 
-    /// True when an insert must [`RowSet::grow`] first: the table is
-    /// unallocated, or live entries would exceed ½ capacity, or live
-    /// plus tombstones would exceed ¾ (probe walks stay short).
-    #[inline]
-    fn needs_grow(&self) -> bool {
-        let cap = self.slots.len();
-        cap == 0 || 2 * (self.live + 1) > cap || 4 * (self.live + self.tombs + 1) > 3 * cap
+    /// Grows for one more insert: a pending reservation jumps straight
+    /// to its recorded capacity (not a regrow — this is the reservation
+    /// executing); an unreserved or reservation-exceeding grow is the
+    /// mid-insert stall `Stats::dedup_regrows` surfaces. The natural
+    /// target is `step × live`: the trigger fires at ½ load, so `step`
+    /// 4 quadruples the table and 2 doubles it.
+    #[cold]
+    fn grow_for_insert(&mut self, step: usize, moved: impl FnMut(u32, usize)) {
+        let natural = (step * (self.live + 1)).next_power_of_two();
+        self.regrows += (self.reserve_hint == 0 && !self.slots.is_empty()) as u64;
+        let target = natural.max(self.reserve_hint);
+        self.reserve_hint = 0;
+        self.grow_to(target, moved);
     }
 
-    /// Rebuilds the table from scratch for a relation whose rows
-    /// `0..row_hash.len()` are all live (post-compaction state).
-    fn rebuild(&mut self, row_hash: &[u64]) {
-        let cap = (4 * (row_hash.len() + 1)).next_power_of_two();
-        self.slots.clear();
-        self.slots.resize(cap, EMPTY as u64);
-        self.mask = cap - 1;
-        self.live = row_hash.len();
-        self.tombs = 0;
-        for (id, &h) in row_hash.iter().enumerate() {
-            let mut s = self.start(h);
-            while self.slots[s] as u32 != EMPTY {
-                s = (s + 1) & self.mask;
+    /// Reserves capacity for `extra` more live entries: records the
+    /// smallest power-of-two capacity whose ½-load grow trigger
+    /// `live + extra` stays under, to be consumed by the next
+    /// grow-triggering insert. The reservation is *deferred*, not
+    /// executed here: rehashing eagerly would scan a cache-cold table,
+    /// while the natural trigger fires mid-insert when the table is warm
+    /// from the very probes that tripped it. The target stays on the
+    /// lazy doubling schedule — pre-sizing must not inflate the table
+    /// beyond it, or every insert probe pays the cache footprint of a
+    /// table twice as large.
+    fn reserve(&mut self, extra: usize) {
+        let cap = (2 * (self.live + extra + 1)).next_power_of_two();
+        let cur = self.slots.len();
+        // Also arm when tombstones alone would trip the ¾ live+tombs
+        // trigger during the run (the jump reclaims them).
+        if cap > cur || 4 * (self.live + self.tombs + extra + 1) > 3 * cur {
+            self.reserve_hint = self.reserve_hint.max(cap.max(cur));
+        }
+    }
+
+    /// Tombstones every entry with a row id at or above `end`: the undo
+    /// of an unfinished drain, whose pending rows were never committed.
+    #[cold]
+    fn purge_from(&mut self, end: u32) {
+        for slot in &mut self.slots {
+            let id = *slot as u32;
+            if id != EMPTY && id != TOMB && id >= end {
+                *slot = TOMB as u64;
+                self.live -= 1;
+                self.tombs += 1;
             }
-            self.slots[s] = RowSet::entry(h, id as u32);
+        }
+    }
+
+    /// Prefetches the slot-array cache line `h` probes first. Purely a
+    /// hint; no-op off x86-64.
+    #[inline]
+    fn prefetch(&self, h: u64) {
+        if !self.slots.is_empty() {
+            self.prefetch_slot(self.start(h));
+        }
+    }
+
+    /// Prefetches the cache line holding slot `s`.
+    #[inline]
+    fn prefetch_slot(&self, s: usize) {
+        prefetch(&self.slots[s]);
+    }
+}
+
+/// The relation's set-semantics membership structure: a power-of-two
+/// number of hash-disjoint [`Part`]s, a row filed in part `hash & (P -
+/// 1)` — the same low bits the evaluator routes derived rows to drain
+/// shards by. A drain over `K = P` shards therefore gives each shard
+/// exclusive ownership of one part: shards dedup and insert
+/// concurrently with no locks and no second table, and the concat only
+/// splices rows (see [`Relation::open_drain`]). Serial use keeps one
+/// part; [`RowSet::rebuild`] re-files the entries when a drain
+/// first asks for a different shard count.
+#[derive(Debug, Clone)]
+struct RowSet {
+    parts: Vec<Part>,
+}
+
+impl Default for RowSet {
+    fn default() -> Self {
+        RowSet {
+            parts: vec![Part::default()],
         }
     }
 }
 
+impl RowSet {
+    /// Index of the part a row hash is filed in.
+    #[inline]
+    fn part_of(&self, h: u64) -> usize {
+        shard_of(h, self.parts.len())
+    }
+
+    #[inline]
+    fn part(&self, h: u64) -> &Part {
+        &self.parts[self.part_of(h)]
+    }
+
+    #[inline]
+    fn part_mut(&mut self, h: u64) -> &mut Part {
+        let i = self.part_of(h);
+        &mut self.parts[i]
+    }
+
+    /// Re-files every row `0..row_hash.len()` not in `dead` into `n`
+    /// freshly sized parts (`n` a power of two). Used after compaction
+    /// (same `n`) and when a drain first asks for a new shard count.
+    fn rebuild(&mut self, n: usize, row_hash: &[u64], dead: impl Fn(u32) -> bool) {
+        let mut counts = vec![0usize; n];
+        for (id, &h) in row_hash.iter().enumerate() {
+            if !dead(id as u32) {
+                counts[shard_of(h, n)] += 1;
+            }
+        }
+        let regrows: u64 = self.parts.iter().map(|p| p.regrows).sum();
+        self.parts = counts
+            .iter()
+            .map(|&c| {
+                let cap = (4 * (c + 1)).next_power_of_two();
+                Part {
+                    slots: vec![EMPTY as u64; cap],
+                    mask: cap - 1,
+                    ..Part::default()
+                }
+            })
+            .collect();
+        // The regrow history survives re-filing.
+        self.parts[0].regrows = regrows;
+        for (id, &h) in row_hash.iter().enumerate() {
+            if dead(id as u32) {
+                continue;
+            }
+            let part = &mut self.parts[shard_of(h, n)];
+            let mut s = part.start(h);
+            while part.slots[s] as u32 != EMPTY {
+                s = (s + 1) & part.mask;
+            }
+            part.claim(s, h, id as u32);
+        }
+    }
+}
+
+/// True if bit `r` of the bitset `bits` is set (bits past its end read
+/// as clear).
+#[inline]
+fn bit_set(bits: &[u64], r: u32) -> bool {
+    bits.get(r as usize / 64)
+        .is_some_and(|w| w & (1u64 << (r as usize % 64)) != 0)
+}
+
+/// The natural growth step of a dedup table ([`Part::grow_for_insert`]).
+/// An unpartitioned table grows 4x, which keeps the load low and the
+/// re-files few on duplicate-heavy serial drains. The parts of a
+/// partitioned table double instead: they grow independently, mostly
+/// on pool workers, and quadrupling them left `fanout_batch` (two
+/// parts) ~15% higher in peak RSS for ~3% of query time.
+fn growth_step(partitioned: bool) -> usize {
+    if partitioned {
+        2
+    } else {
+        4
+    }
+}
+
+/// Spreads a reservation for `extra` rows over `n` hash-disjoint parts:
+/// exact for one part; for several, each part's even share plus a
+/// quarter and a small floor of headroom for hash skew.
+fn per_part(extra: usize, n: usize) -> usize {
+    if n == 1 {
+        return extra;
+    }
+    let share = extra.div_ceil(n);
+    share + share / 4 + 8
+}
+
+/// The reservation for a drain of `derived` rows before dedup, given
+/// the learned unique fraction `uniq`: double the expected inserts,
+/// capped at `derived` (the true upper bound). Sizing by raw derived
+/// counts would overshoot on duplicate-heavy rounds — a fanout round
+/// deriving 10× duplicates would allocate a table 10× too big — while
+/// the doubling keeps the no-regrow guarantee through a ~2×
+/// under-estimate, and the headroom rides on the round's expected
+/// inserts, not on the whole live set.
+fn derived_reservation(derived: usize, uniq: f64) -> usize {
+    let expect = (derived as f64 * uniq).ceil() as usize;
+    (2 * expect).min(derived)
+}
+
+/// One shard's staging area in a multi-shard drain: the rows it
+/// accepted (flat values plus content hashes) and the part slot each
+/// one claimed. Owned by the evaluator across rounds, so the buffers'
+/// capacity is paid once.
+#[derive(Debug, Default)]
+pub(crate) struct Segment {
+    data: Vec<Value>,
+    hashes: Vec<u64>,
+    /// `slots[i]` is the part slot holding row `i`'s pending entry.
+    slots: Vec<u32>,
+}
+
+impl Segment {
+    fn clear(&mut self) {
+        self.data.clear();
+        self.hashes.clear();
+        self.slots.clear();
+    }
+}
+
+/// One shard's write access to a relation during a drain (see
+/// [`Relation::open_drain`]): the dedup-table parts the shard owns, the
+/// committed rows to verify fingerprint matches against, and where
+/// accepted rows go.
+pub(crate) struct DrainSink<'a> {
+    arity: usize,
+    /// Committed rows `[0, base)`, shared read-only between shards.
+    /// Empty when the sink appends to the relation's own store (`base`
+    /// is then 0 and `data` holds every row).
+    old: &'a [Value],
+    base: u32,
+    /// The id the next accepted row is filed under.
+    next: u32,
+    /// Rows from id `base` on, flat.
+    data: &'a mut Vec<Value>,
+    hashes: &'a mut Vec<u64>,
+    /// The parts this sink owns; a row goes to `shard_of(hash, len)`.
+    parts: &'a mut [Part],
+    /// Multi-shard drains: the slot of each accepted row's pending
+    /// entry, for the id fixup at commit.
+    slots: Option<&'a mut Vec<u32>>,
+    /// The relation's unique-fraction EWMA at open time.
+    uniq: f64,
+    /// Rows routed to this sink this round (before dedup).
+    pub(crate) derived: usize,
+    /// Rows this sink accepted.
+    pub(crate) inserted: usize,
+}
+
+impl DrainSink<'_> {
+    /// Reserves table capacity for the `derived` rows tallied so far,
+    /// scaled by the learned unique fraction ([`derived_reservation`]).
+    pub(crate) fn reserve_for_derived(&mut self) {
+        let n = self.parts.len();
+        let extra = derived_reservation(self.derived, self.uniq);
+        for part in self.parts.iter_mut() {
+            part.reserve(per_part(extra, n));
+        }
+    }
+
+    /// Prefetches the table line a row hash will probe first.
+    #[inline]
+    pub(crate) fn prefetch(&self, h: u64) {
+        self.parts[shard_of(h, self.parts.len())].prefetch(h);
+    }
+
+    /// Inserts `row` (content hash `h`) unless an equal row is already
+    /// committed or was accepted earlier in this drain; returns `true`
+    /// if it was new.
+    #[inline]
+    pub(crate) fn insert(&mut self, row: &[Value], h: u64) -> bool {
+        debug_assert_eq!(row.len(), self.arity, "tuple arity mismatch");
+        debug_assert_eq!(h, hash_slice(row), "stale row hash");
+        let (arity, base) = (self.arity, self.base);
+        // Multi-shard sinks own one part of a partitioned table.
+        let step = growth_step(self.slots.is_some() || self.parts.len() > 1);
+        let part = &mut self.parts[shard_of(h, self.parts.len())];
+        if part.needs_grow() {
+            let pos = &mut self.slots;
+            part.grow_for_insert(step, |id, s| {
+                if let Some(pos) = pos.as_deref_mut() {
+                    if id >= base {
+                        pos[(id - base) as usize] = s as u32;
+                    }
+                }
+            });
+        }
+        let (old, data) = (self.old, &**self.data);
+        let found = part.probe(h, |id| {
+            let r = if id < base {
+                &old[id as usize * arity..][..arity]
+            } else {
+                &data[(id - base) as usize * arity..][..arity]
+            };
+            r == row
+        });
+        let Probe::Vacant(s) = found else {
+            return false;
+        };
+        part.claim(s, h, self.next);
+        self.next += 1;
+        self.data.extend_from_slice(row);
+        self.hashes.push(h);
+        if let Some(pos) = self.slots.as_deref_mut() {
+            pos.push(s as u32);
+        }
+        self.inserted += 1;
+        true
+    }
+}
+
 /// A purpose-built flat open-addressing map from key-tuple hashes to
-/// dictionary codes: the [`RowSet`] slot discipline (packed
+/// dictionary codes: the [`Part`] slot discipline (packed
 /// `fingerprint << 32 | code` words, linear probing from the hash's low
 /// bits) applied to the dictionary side of the probe path. Compared to
 /// the `PrehashedMap` it replaces, the slot array is a plain `Vec<u64>`
 /// the caller can software-prefetch by hash ([`CodeMap::prefetch`]
-/// mirrors [`Relation::prefetch_hash`]) — a std `HashMap` hides its
+/// mirrors [`Part::prefetch`]) — a std `HashMap` hides its
 /// control bytes behind an opaque allocation, so the per-sort-group
 /// random access behind [`ProbeHandle::encode`] could never be
 /// overlapped. Dictionaries never delete, so there is no tombstone
@@ -310,18 +722,9 @@ impl CodeMap {
     /// off x86-64.
     #[inline]
     pub fn prefetch(&self, hash: u64) {
-        #[cfg(target_arch = "x86_64")]
-        if !self.slots.is_empty() {
-            // SAFETY: `start` is masked into bounds; prefetch reads no
-            // memory architecturally.
-            unsafe {
-                core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-                    self.slots.as_ptr().add(self.start(hash)) as *const i8,
-                );
-            }
+        if let Some(slot) = self.slots.get(self.start(hash)) {
+            prefetch(slot);
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = hash;
     }
 
     /// Resident bytes of the slot array.
@@ -533,21 +936,10 @@ pub struct Relation {
     /// Number of set bits in `dead`.
     ndead: usize,
     /// Learned fraction of derived rows that survive dedup, an EWMA over
-    /// drain rounds (see [`Relation::reserve_for_derived`]). Starts at
+    /// drain rounds (see [`DrainSink::reserve_for_derived`]). Starts at
     /// 1.0 — assume everything is new until a round proves otherwise —
     /// so the first reservation can only over-size, never under-size.
     uniq_ewma: f64,
-    /// Dedup-table rehashes forced mid-insert after the table was first
-    /// sized — the stall [`Relation::reserve_for_derived`] exists to
-    /// eliminate (surfaced as `Stats::dedup_regrows`).
-    regrows: u64,
-    /// Pending reservation: the slot capacity [`Relation::reserve_rows`]
-    /// computed, consumed by the next grow-triggering insert (0 = none).
-    /// Deferring the jump to the natural ½-load trigger keeps the rehash
-    /// on the lazy schedule — the table is warm from the very probes
-    /// that tripped the trigger — while still replacing a chain of
-    /// doublings with one sized jump.
-    reserve_hint: usize,
     /// Monotonic mutation counter: bumped by every call that changes the
     /// live tuple set (insert, delete, truncate, compact, bulk commit).
     /// Unlike [`Relation::physical_rows`] — which a truncate-then-insert
@@ -577,8 +969,6 @@ impl Relation {
             dead: Vec::new(),
             ndead: 0,
             uniq_ewma: 1.0,
-            regrows: 0,
-            reserve_hint: 0,
             generation: 0,
             published: None,
             indexes: RwLock::new(FxHashMap::default()),
@@ -665,11 +1055,7 @@ impl Relation {
     /// True if physical row `r` is tombstoned.
     #[inline]
     pub fn is_dead(&self, r: u32) -> bool {
-        self.ndead != 0
-            && self
-                .dead
-                .get(r as usize / 64)
-                .is_some_and(|w| w & (1u64 << (r as usize % 64)) != 0)
+        self.ndead != 0 && bit_set(&self.dead, r)
     }
 
     /// The full (physical) row range.
@@ -697,60 +1083,22 @@ impl Relation {
     pub fn insert_hashed(&mut self, t: &[Value], h: u64) -> bool {
         assert_eq!(t.len(), self.arity, "tuple arity mismatch");
         debug_assert_eq!(h, hash_slice(t), "stale row hash");
-        if self.set.needs_grow() {
-            self.grow_for_insert();
+        let (arity, data) = (self.arity, &self.data);
+        let step = growth_step(self.set.parts.len() > 1);
+        let part = self.set.part_mut(h);
+        if part.needs_grow() {
+            part.grow_for_insert(step, |_, _| {});
         }
-        let arity = self.arity;
-        let mut s = self.set.start(h);
-        let mut free = usize::MAX;
-        loop {
-            let slot = self.set.slots[s];
-            let id = slot as u32;
-            if id == EMPTY {
-                break;
-            }
-            if id == TOMB {
-                if free == usize::MAX {
-                    free = s;
-                }
-            } else if slot & FP_MASK == h & FP_MASK
-                && &self.data[id as usize * arity..(id as usize + 1) * arity] == t
-            {
-                return false;
-            }
-            s = (s + 1) & self.set.mask;
-        }
-        if free != usize::MAX {
-            s = free;
-            self.set.tombs -= 1;
-        }
-        self.set.slots[s] = RowSet::entry(h, self.nrows as u32);
-        self.set.live += 1;
+        let s = match part.probe(h, |id| &data[id as usize * arity..][..arity] == t) {
+            Probe::Found => return false,
+            Probe::Vacant(s) => s,
+        };
+        part.claim(s, h, self.nrows as u32);
         self.row_hash.push(h);
         self.data.extend_from_slice(t);
         self.nrows += 1;
         self.generation += 1;
         true
-    }
-
-    /// Prefetches the membership-table cache line a row hash will probe
-    /// first, so a caller holding a batch of pending rows can overlap
-    /// the table's cold misses instead of paying them serially inside
-    /// [`Relation::insert_hashed`]. Purely a hint; no-op off x86-64.
-    #[inline]
-    pub fn prefetch_hash(&self, h: u64) {
-        #[cfg(target_arch = "x86_64")]
-        if !self.set.slots.is_empty() {
-            // SAFETY: `start` is masked into bounds; prefetch reads no
-            // memory architecturally.
-            unsafe {
-                core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-                    self.set.slots.as_ptr().add(self.set.start(h)) as *const i8,
-                );
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = h;
     }
 
     /// The precomputed content hash of row `r` (the one every insert
@@ -766,21 +1114,9 @@ impl Relation {
     /// hint; no-op off x86-64.
     #[inline]
     pub fn prefetch_row(&self, r: u32) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let i = r as usize * self.arity;
-            if i < self.data.len() {
-                // SAFETY: `i` is in bounds; prefetch reads no memory
-                // architecturally.
-                unsafe {
-                    core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-                        self.data.as_ptr().add(i) as *const i8,
-                    );
-                }
-            }
+        if let Some(v) = self.data.get(r as usize * self.arity) {
+            prefetch(v);
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = r;
     }
 
     /// Membership test.
@@ -788,10 +1124,7 @@ impl Relation {
         self.contains_hashed(t, hash_slice(t))
     }
 
-    /// [`Relation::contains`] with the row hash already computed. Takes
-    /// `&self` only and touches nothing but the (round-immutable) dedup
-    /// table, so shard-merge workers can safely call it concurrently
-    /// while the control thread is blocked on the merge phase.
+    /// [`Relation::contains`] with the row hash already computed.
     pub fn contains_hashed(&self, t: &[Value], h: u64) -> bool {
         if t.len() != self.arity {
             return false;
@@ -807,24 +1140,7 @@ impl Relation {
     /// bits).
     #[inline]
     fn hash_matches(&self, h: u64) -> impl Iterator<Item = u32> + '_ {
-        let mut s = self.set.start(h);
-        let done = self.set.slots.is_empty();
-        std::iter::from_fn(move || {
-            if done {
-                return None;
-            }
-            loop {
-                let slot = self.set.slots[s];
-                let id = slot as u32;
-                if id == EMPTY {
-                    return None;
-                }
-                s = (s + 1) & self.set.mask;
-                if id != TOMB && slot & FP_MASK == h & FP_MASK {
-                    return Some(id);
-                }
-            }
-        })
+        self.set.part(h).matches(h)
     }
 
     /// Deletes a tuple by tombstoning its physical row; returns `true`
@@ -859,24 +1175,10 @@ impl Relation {
     /// Removes the live row under hash `h` satisfying `is_target` from
     /// the membership table (tombstoning its slot), returning its id.
     fn unlink_row(&mut self, h: u64, is_target: impl Fn(u32, &[Value]) -> bool) -> Option<u32> {
-        if self.set.slots.is_empty() {
-            return None;
-        }
-        let mut s = self.set.start(h);
-        loop {
-            let slot = self.set.slots[s];
-            let id = slot as u32;
-            if id == EMPTY {
-                return None;
-            }
-            if id != TOMB && slot & FP_MASK == h & FP_MASK && is_target(id, self.row(id)) {
-                self.set.slots[s] = TOMB as u64;
-                self.set.live -= 1;
-                self.set.tombs += 1;
-                return Some(id);
-            }
-            s = (s + 1) & self.set.mask;
-        }
+        let (arity, data) = (self.arity, &self.data);
+        self.set
+            .part_mut(h)
+            .unlink(h, |id| is_target(id, &data[id as usize * arity..][..arity]))
     }
 
     /// Removes every row with physical id `keep` and above, exactly
@@ -929,116 +1231,133 @@ impl Relation {
         self.nrows = live;
         self.data = data;
         self.row_hash = row_hash;
-        self.set.rebuild(&self.row_hash);
+        self.set
+            .rebuild(self.set.parts.len(), &self.row_hash, |_| false);
         self.dead.clear();
         self.ndead = 0;
         self.generation += 1;
         self.indexes.write().expect("index lock poisoned").clear();
     }
 
-    /// Bulk-appends a pre-deduplicated segment of new rows: `data` holds
-    /// `hashes.len()` rows in flat layout and `hashes[i]` is the content
-    /// hash of row `i`. This is the control thread's shard-concat path:
-    /// the merge phase already guaranteed every row is absent from the
-    /// relation and the rows are pairwise distinct, so committing is one
-    /// `memcpy` plus a dedup-slot insert per row — no hashing, no
-    /// comparisons.
+    /// Opens the relation for one round's drain over `segs.len()` = `K`
+    /// shards, one [`DrainSink`] per shard in shard order. A row whose
+    /// hash is `h` belongs to shard [`shard_of`]`(h, K)`.
     ///
-    /// Returns the number of rows appended.
+    /// * `K = 1`: the sink owns the whole dedup table and appends
+    ///   accepted rows straight to the relation's own store, so their
+    ///   ids are final.
+    /// * `K > 1`: the table is (re)partitioned into `K` parts if needed
+    ///   and shard `s` gets exclusive ownership of part `s` plus
+    ///   `segs[s]` for its rows; all shards read the committed rows
+    ///   through one shared borrow. An accepted row is filed under a
+    ///   *pending* id — committed rows plus its index in its own
+    ///   segment — which no other shard can observe, since equal rows
+    ///   share a hash and hence a part.
     ///
-    /// # Panics
-    /// Panics if `data` is not `hashes.len() * arity` values long. With
-    /// debug assertions, also panics if a row was already present (a
-    /// violated merge-phase contract would silently corrupt set
-    /// semantics otherwise).
-    pub fn commit_new_rows(&mut self, data: &[Value], hashes: &[u64]) -> usize {
-        assert_eq!(
-            data.len(),
-            hashes.len() * self.arity,
-            "segment length does not match hash count × arity"
-        );
-        // The segment is pre-deduplicated, so its exact row count is
-        // known: size the table once up front instead of doubling
-        // mid-append.
-        self.reserve_rows(hashes.len());
-        for (i, &h) in hashes.iter().enumerate() {
-            let row = &data[i * self.arity..(i + 1) * self.arity];
-            debug_assert!(
-                !self.contains_hashed(row, h),
-                "commit_new_rows given a duplicate row"
-            );
-            if self.set.needs_grow() {
-                self.grow_for_insert();
-            }
-            let mut s = self.set.start(h);
-            while !matches!(self.set.slots[s] as u32, EMPTY | TOMB) {
-                s = (s + 1) & self.set.mask;
-            }
-            if self.set.slots[s] as u32 == TOMB {
-                self.set.tombs -= 1;
-            }
-            self.set.slots[s] = RowSet::entry(h, self.nrows as u32);
-            self.set.live += 1;
-            self.row_hash.push(h);
-            self.data.extend_from_slice(row);
-            self.nrows += 1;
+    /// Every opened drain must end in [`Relation::commit_drain`] or
+    /// [`Relation::abort_drain`] with the same segments.
+    pub(crate) fn open_drain<'a>(&'a mut self, segs: &'a mut [Segment]) -> Vec<DrainSink<'a>> {
+        let k = segs.len();
+        debug_assert!(k.is_power_of_two(), "shard count must be a power of two");
+        let (arity, uniq, nrows) = (self.arity, self.uniq_ewma, self.nrows as u32);
+        if k == 1 {
+            return vec![DrainSink {
+                arity,
+                old: &[],
+                base: 0,
+                next: nrows,
+                data: &mut self.data,
+                hashes: &mut self.row_hash,
+                parts: &mut self.set.parts,
+                slots: None,
+                uniq,
+                derived: 0,
+                inserted: 0,
+            }];
         }
-        self.generation += hashes.len() as u64;
-        hashes.len()
-    }
-
-    /// Reserves dedup-table capacity for `extra` more live rows: records
-    /// the smallest power-of-two capacity whose ½-load grow trigger
-    /// `live + extra` stays under, to be consumed by the next
-    /// grow-triggering insert ([`Relation::grow_for_insert`]). The
-    /// reservation is *deferred*, not executed here: rehashing eagerly
-    /// would scan a cache-cold table between rounds, while the natural
-    /// trigger fires mid-insert when the table is warm from the very
-    /// probes that tripped it. The target stays on the lazy doubling
-    /// schedule — pre-sizing must not inflate the table beyond it, or
-    /// every insert probe pays the cache footprint of a map twice as
-    /// large.
-    pub fn reserve_rows(&mut self, extra: usize) {
-        let cap = (2 * (self.set.live + extra + 1)).next_power_of_two();
-        let cur = self.set.slots.len();
-        // Also arm when tombstones alone would trip the ¾ live+tombs
-        // trigger during the run (the jump reclaims them).
-        if cap > cur || 4 * (self.set.live + self.set.tombs + extra + 1) > 3 * cur {
-            self.reserve_hint = self.reserve_hint.max(cap.max(cur));
+        if self.set.parts.len() != k {
+            let dead = &self.dead;
+            self.set.rebuild(k, &self.row_hash, |r| bit_set(dead, r));
         }
+        let old = &self.data[..];
+        self.set
+            .parts
+            .iter_mut()
+            .zip(segs)
+            .map(|(part, seg)| {
+                seg.clear();
+                DrainSink {
+                    arity,
+                    old,
+                    base: nrows,
+                    next: nrows,
+                    data: &mut seg.data,
+                    hashes: &mut seg.hashes,
+                    parts: std::slice::from_mut(part),
+                    slots: Some(&mut seg.slots),
+                    uniq,
+                    derived: 0,
+                    inserted: 0,
+                }
+            })
+            .collect()
     }
 
-    /// Grows the dedup table for one more insert: a pending reservation
-    /// jumps straight to its recorded capacity (not a regrow — this is
-    /// the reservation executing); an unreserved or reservation-exceeding
-    /// grow is the mid-insert stall `Stats::dedup_regrows` surfaces.
-    #[cold]
-    fn grow_for_insert(&mut self) {
-        let natural = (4 * (self.set.live + 1)).next_power_of_two();
-        self.regrows += (self.reserve_hint == 0 && !self.set.slots.is_empty()) as u64;
-        let target = natural.max(self.reserve_hint);
-        self.reserve_hint = 0;
-        self.set.grow_to(target, &self.row_hash);
+    /// Commits a finished drain opened by [`Relation::open_drain`]. For
+    /// `K = 1` the rows are already in place. For `K > 1` this is the
+    /// concat: each shard's segment is spliced after the committed rows
+    /// in shard order (a `memcpy` of values and hashes), and the table
+    /// entries of shard `s > 0` — all in part `s`, at the slots its
+    /// segment recorded — move from pending to final ids by adding the
+    /// rows of the shards before it. Returns the number of rows added.
+    pub(crate) fn commit_drain(&mut self, segs: &mut [Segment]) -> usize {
+        let before = self.nrows;
+        if segs.len() == 1 {
+            self.nrows = self.row_hash.len();
+        } else {
+            // How far ahead of the fixup cursor to prefetch slots.
+            const PREFETCH: usize = 8;
+            let mut offset = 0u64;
+            for (part, seg) in self.set.parts.iter_mut().zip(segs.iter_mut()) {
+                if offset > 0 {
+                    for (i, &s) in seg.slots.iter().enumerate() {
+                        if let Some(&ahead) = seg.slots.get(i + PREFETCH) {
+                            part.prefetch_slot(ahead as usize);
+                        }
+                        part.slots[s as usize] += offset;
+                    }
+                }
+                offset += seg.hashes.len() as u64;
+                self.data.extend_from_slice(&seg.data);
+                self.row_hash.extend_from_slice(&seg.hashes);
+                seg.clear();
+            }
+            self.nrows += offset as usize;
+        }
+        let added = self.nrows - before;
+        self.generation += added as u64;
+        added
     }
 
-    /// Pre-sizes the dedup table for a drain of `derived` rows *before
-    /// dedup*, scaled by the unique-fraction EWMA learned from earlier
-    /// rounds — the fix for the duplicate-inflation overshoot of sizing
-    /// by raw derived counts: a fanout round deriving 10× duplicates
-    /// would otherwise allocate a table 10× too big every round. The
-    /// reservation doubles the expectation (capped at `derived`, the
-    /// true upper bound), so the no-regrow guarantee survives a ~2×
-    /// under-estimate while steady-state capacity stays on the lazy
-    /// doubling schedule — the headroom rides on the round's expected
-    /// inserts, not on the whole live set.
-    pub fn reserve_for_derived(&mut self, derived: usize) {
-        let expect = (derived as f64 * self.uniq_ewma).ceil() as usize;
-        self.reserve_rows((2 * expect).min(derived));
+    /// Abandons a drain opened by [`Relation::open_drain`] (a cancelled
+    /// or failed round): every pending table entry is tombstoned, rows
+    /// appended in place are truncated away and the segments emptied,
+    /// leaving the committed rows exactly as they were.
+    pub(crate) fn abort_drain(&mut self, segs: &mut [Segment]) {
+        let end = self.nrows as u32;
+        for part in &mut self.set.parts {
+            part.purge_from(end);
+        }
+        self.data.truncate(self.nrows * self.arity);
+        self.row_hash.truncate(self.nrows);
+        for seg in segs {
+            seg.clear();
+        }
     }
 
     /// Folds a finished drain round's observed unique fraction
     /// (`inserted` of `derived` rows survived dedup) into the EWMA
-    /// consulted by [`Relation::reserve_for_derived`].
+    /// consulted by [`DrainSink::reserve_for_derived`].
     pub fn note_drain(&mut self, derived: usize, inserted: usize) {
         if derived == 0 {
             return;
@@ -1051,7 +1370,7 @@ impl Relation {
     /// correctly pre-sized drain keeps this flat across rounds
     /// (`Stats::dedup_regrows` samples it before/after each drain).
     pub fn regrows(&self) -> u64 {
-        self.regrows
+        self.set.parts.iter().map(|p| p.regrows).sum()
     }
 
     /// The tuple at `row`, as a slice into the flat store.
@@ -1311,7 +1630,12 @@ impl Relation {
         let data = self.data.capacity() * std::mem::size_of::<Value>();
         // The membership table's packed fingerprint|id slots plus the
         // per-row hash column.
-        let dedup = self.set.slots.capacity() * std::mem::size_of::<u64>()
+        let dedup = self
+            .set
+            .parts
+            .iter()
+            .map(|p| p.slots.capacity() * std::mem::size_of::<u64>())
+            .sum::<usize>()
             + self.row_hash.capacity() * std::mem::size_of::<u64>();
         let tombstones = self.dead.capacity() * std::mem::size_of::<u64>();
         let mut indexes = 0usize;
@@ -1382,41 +1706,48 @@ impl Relation {
         }
         let mut seen = vec![false; self.nrows];
         let mut entries = 0usize;
-        let mut tombs = 0usize;
-        for &slot in &self.set.slots {
-            let id = slot as u32;
-            if id == EMPTY {
-                continue;
+        for (pi, part) in self.set.parts.iter().enumerate() {
+            let (mut live, mut tombs) = (0usize, 0usize);
+            for &slot in &part.slots {
+                let id = slot as u32;
+                if id == EMPTY {
+                    continue;
+                }
+                if id == TOMB {
+                    tombs += 1;
+                    continue;
+                }
+                if id as usize >= self.nrows {
+                    return Err(format!("table entry {id} out of bounds ({})", self.nrows));
+                }
+                if self.is_dead(id) {
+                    return Err(format!("table entry {id} points at a tombstoned row"));
+                }
+                let h = self.row_hash[id as usize];
+                if slot & FP_MASK != h & FP_MASK {
+                    return Err(format!("table entry {id} carries a stale fingerprint"));
+                }
+                if self.set.part_of(h) != pi {
+                    return Err(format!("table entry {id} is filed in the wrong part {pi}"));
+                }
+                if seen[id as usize] {
+                    return Err(format!("row {id} occupies two table slots"));
+                }
+                seen[id as usize] = true;
+                live += 1;
             }
-            if id == TOMB {
-                tombs += 1;
-                continue;
+            if live != part.live || tombs != part.tombs {
+                return Err(format!(
+                    "part {pi} load counters drifted: {live}/{tombs} counted, {}/{} recorded",
+                    part.live, part.tombs
+                ));
             }
-            if id as usize >= self.nrows {
-                return Err(format!("table entry {id} out of bounds ({})", self.nrows));
-            }
-            if self.is_dead(id) {
-                return Err(format!("table entry {id} points at a tombstoned row"));
-            }
-            if slot & FP_MASK != self.row_hash[id as usize] & FP_MASK {
-                return Err(format!("table entry {id} carries a stale fingerprint"));
-            }
-            if seen[id as usize] {
-                return Err(format!("row {id} occupies two table slots"));
-            }
-            seen[id as usize] = true;
-            entries += 1;
+            entries += live;
         }
         if entries != self.nrows - self.ndead {
             return Err(format!(
                 "membership table holds {entries} entries for {} live rows",
                 self.nrows - self.ndead
-            ));
-        }
-        if entries != self.set.live || tombs != self.set.tombs {
-            return Err(format!(
-                "table load counters drifted: {entries}/{tombs} counted, {}/{} recorded",
-                self.set.live, self.set.tombs
             ));
         }
         for r in 0..self.nrows as u32 {
@@ -1449,8 +1780,6 @@ impl Clone for Relation {
             dead: self.dead.clone(),
             ndead: self.ndead,
             uniq_ewma: self.uniq_ewma,
-            regrows: self.regrows,
-            reserve_hint: self.reserve_hint,
             // The clone starts content-identical, so it inherits the
             // generation: a snapshot publisher comparing a clone's
             // generation against the original must see "unchanged".
@@ -1900,20 +2229,39 @@ mod tests {
         assert_eq!(m.get(code_hash(7), |c| c == 7), Some(7));
     }
 
+    /// Drains `rows` into `rel` through `k` shard sinks, routing each
+    /// row by its hash like the evaluator does; returns the rows each
+    /// sink accepted and leaves the drain open for the caller to end.
+    fn drain_rows<'a>(sinks: &mut [DrainSink<'a>], rows: &[Tuple]) -> Vec<usize> {
+        let k = sinks.len();
+        for row in rows {
+            sinks[hash_slice(row) as usize & (k - 1)].derived += 1;
+        }
+        for sink in sinks.iter_mut() {
+            sink.reserve_for_derived();
+        }
+        for row in rows {
+            let h = hash_slice(row);
+            sinks[h as usize & (k - 1)].insert(row, h);
+        }
+        sinks.iter().map(|s| s.inserted).collect()
+    }
+
     #[test]
-    fn reserve_rows_eliminates_mid_drain_regrows() {
+    fn drain_reservation_eliminates_mid_drain_regrows() {
+        let rows: Vec<Tuple> = (0..1000i64).map(|i| t(&[i, i + 1])).collect();
         // Unreserved: a thousand inserts pay a chain of doubling grows.
         let mut cold = Relation::new(2);
-        for i in 0..1000i64 {
-            cold.insert(t(&[i, i + 1]));
+        for row in &rows {
+            cold.insert(row);
         }
         assert!(cold.regrows() > 0, "unreserved inserts must have regrown");
-        // Reserved up front: the same inserts never rehash.
+        // Reserved up front by the drain: the same inserts never rehash.
         let mut warm = Relation::new(2);
-        warm.reserve_rows(1000);
-        for i in 0..1000i64 {
-            warm.insert(t(&[i, i + 1]));
-        }
+        let mut segs = [Segment::default()];
+        let accepted = drain_rows(&mut warm.open_drain(&mut segs), &rows);
+        assert_eq!(accepted, [1000]);
+        assert_eq!(warm.commit_drain(&mut segs), 1000);
         assert_eq!(warm.regrows(), 0, "pre-sized table must not regrow");
         assert_eq!(warm.len(), cold.len());
         warm.check_invariant().unwrap();
@@ -1926,14 +2274,53 @@ mod tests {
         for _ in 0..20 {
             r.note_drain(100, 10);
         }
-        // A 2000-row derived burst then expects ~200 unique; the ¼-load
-        // sizing tolerates up to ~2× that before any rehash.
-        r.reserve_for_derived(2000);
+        // A 2000-row derived burst then expects ~200 unique; the doubled
+        // reservation tolerates up to ~2× that before any rehash.
+        let mut segs = [Segment::default()];
+        let mut sinks = r.open_drain(&mut segs);
+        sinks[0].derived = 2000;
+        sinks[0].reserve_for_derived();
         for i in 0..350i64 {
-            r.insert(t(&[i]));
+            let row = t(&[i]);
+            sinks[0].insert(&row, hash_slice(&row));
         }
+        drop(sinks);
+        r.commit_drain(&mut segs);
         assert_eq!(r.regrows(), 0, "2x under-estimate must stay regrow-free");
         r.check_invariant().unwrap();
+    }
+
+    #[test]
+    fn multi_shard_drain_commits_and_aborts_cleanly() {
+        let mut r = Relation::new(2);
+        for i in 0..100i64 {
+            r.insert(t(&[i, 0]));
+        }
+        // Half the drained rows are already committed, and each new row
+        // arrives twice.
+        let rows: Vec<Tuple> = (50..150i64)
+            .flat_map(|i| [t(&[i, 0]), t(&[i, 0])])
+            .collect();
+        for k in [2usize, 4] {
+            let mut segs: Vec<Segment> = (0..k).map(|_| Segment::default()).collect();
+            // An aborted drain leaves the relation exactly as it was.
+            let before = r.sorted_tuples();
+            drain_rows(&mut r.open_drain(&mut segs), &rows);
+            r.abort_drain(&mut segs);
+            r.check_invariant().unwrap();
+            assert_eq!(r.sorted_tuples(), before, "K={k}: abort left rows behind");
+            // A committed one adds each new row once, under final ids.
+            let accepted = drain_rows(&mut r.open_drain(&mut segs), &rows);
+            let added = r.commit_drain(&mut segs);
+            assert_eq!(accepted.iter().sum::<usize>(), added);
+            assert_eq!(r.len(), 150, "K={k}");
+            r.check_invariant().unwrap();
+            for i in 0..150i64 {
+                assert!(r.contains(&t(&[i, 0])), "K={k}: row {i} lost");
+            }
+            // Rebuild the 100-row state for the next shard count.
+            r.truncate(100);
+        }
     }
 
     #[test]

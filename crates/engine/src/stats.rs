@@ -93,7 +93,7 @@ pub struct PoolStats {
     /// mode; in parallel mode, rounds below the adaptive cutover).
     pub serial_rounds: u64,
     /// Tasks dispatched (a plan split across workers counts once per
-    /// chunk; merge jobs count one per shard).
+    /// chunk; drain jobs count one per shard).
     pub tasks: u64,
     /// Sum of per-task execution time across workers, in nanoseconds.
     pub busy_nanos: u64,
@@ -101,9 +101,11 @@ pub struct PoolStats {
     pub wall_nanos: u64,
     /// Worker busy time spent in join-phase tasks, in nanoseconds.
     pub join_nanos: u64,
-    /// Worker busy time spent in per-shard merge tasks, in nanoseconds.
+    /// Worker busy time spent in the per-shard drain jobs (the merge
+    /// phase), in nanoseconds.
     pub merge_nanos: u64,
-    /// Control-thread time concatenating shard segments into relations.
+    /// Control-thread time concatenating shard segments into relations
+    /// (the splice and pending-id fixup).
     pub concat_nanos: u64,
     /// Time spent eagerly building indexes before parallel phases.
     pub index_build_nanos: u64,
@@ -119,7 +121,7 @@ pub struct PoolStats {
     pub last_round_nanos: u64,
     /// Worker threads in the pool (0 until the pool first runs).
     pub workers: usize,
-    /// Merge shards per parallel round (0 until a parallel round runs).
+    /// Drain shards per parallel round (0 until a parallel round runs).
     pub shards: usize,
     /// The adaptive serial-cutover threshold in seed rows (0 = parallel
     /// evaluation disabled or not yet calibrated).

@@ -19,6 +19,11 @@ cargo test -q --offline --features failpoints
 cargo fmt --check
 # Lint gate: the workspace is warning-free; keep it that way.
 cargo clippy --all-targets --offline -- -D warnings
+# Benchmark build leg: perfbench/ is its own workspace that drives the
+# engine through its public API, so an API change that breaks the
+# benchmark's build (or its own unit tests) fails here, not in the
+# benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 # Scaling gate: fails if 4-thread fixpoint time exceeds 1-thread time by
 # >10% on any workload with rows_idb >= 50_000, so parallel regressions
 # can't merge silently. Runs without --json on purpose: the checked-in

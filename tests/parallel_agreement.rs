@@ -3,10 +3,11 @@
 //! must produce the identical IDB (compared as `BTreeMap`-normalized
 //! sorted-tuple maps) and identical workload counters.
 
-use semrec::datalog::{Pred, Program};
+use semrec::datalog::{Pred, Program, Value};
+use semrec::engine::fxhash::hash_slice;
 use semrec::engine::{Cutover, Database, Evaluator, Strategy, Tuple};
 use semrec::gen::{fanout, genealogy, graphs, org, parse_scenario, university};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Evaluates and normalizes the full IDB into a deterministic map.
 fn idb_map(
@@ -191,6 +192,77 @@ fn sharded_merge_agrees_across_shard_counts() {
                 base_stats.iterations, stats.iterations,
                 "{name}: round count drifted at K={shards}"
             );
+            // The shard drains pre-size their own table parts, so no
+            // shard count may rehash mid-insert.
+            assert_eq!(
+                stats.dedup_regrows, 0,
+                "{name}: mid-drain dedup regrows at K={shards}"
+            );
         }
+    }
+}
+
+/// Two distinct rows whose content hashes agree on the 32-bit
+/// fingerprint half (the high bits every dedup-table slot stores) and
+/// on the low two bits (the drain shard at K ≤ 4) land in the same
+/// table part at the same probe start, so only the content comparison
+/// can tell them apart. Found by a birthday search over two-int rows.
+/// FxHash maps a dense grid of small ints almost linearly, which keeps
+/// those 34 bits distinct there; coordinates scaled by two primes give
+/// a twin within ~100k rows.
+fn fingerprint_twins() -> (Tuple, Tuple) {
+    let key = |h: u64| (h >> 32) << 2 | (h & 3);
+    let mut seen: HashMap<u64, Tuple> = HashMap::new();
+    for a in 0..2048i64 {
+        for b in 0..2048i64 {
+            let row = vec![Value::Int(a * 7919), Value::Int(b * 104_729)];
+            let k = key(hash_slice(&row));
+            match seen.get(&k) {
+                Some(twin) => return (twin.clone(), row),
+                None => {
+                    seen.insert(k, row);
+                }
+            }
+        }
+    }
+    panic!("no fingerprint twins among 4M rows");
+}
+
+/// Both fingerprint twins must survive the drain at every shard count,
+/// and a duplicate of each — derived in the same round by a second rule
+/// — must be rejected against its own twin, not the other one.
+#[test]
+fn fingerprint_twins_survive_the_drain_at_every_shard_count() {
+    let (a, b) = fingerprint_twins();
+    assert_ne!(a, b);
+    let (ha, hb) = (hash_slice(&a), hash_slice(&b));
+    assert_eq!(ha >> 32, hb >> 32, "twins share the fingerprint half");
+    assert_eq!(ha & 3, hb & 3, "twins share the shard at K <= 4");
+    let mut db = Database::new();
+    for rel in ["e", "f"] {
+        db.insert(rel, a.clone());
+        db.insert(rel, b.clone());
+    }
+    let prog: Program = "t(X, Y) :- e(X, Y). t(X, Y) :- f(X, Y).".parse().unwrap();
+    let mut want = vec![a, b];
+    want.sort();
+    for shards in [1usize, 2, 4] {
+        let mut ev = Evaluator::new(&db, &prog, Strategy::SemiNaive).unwrap();
+        if shards > 1 {
+            ev = ev
+                .with_parallelism(shards)
+                .with_shards(shards)
+                .with_cutover(Cutover::ForceParallel);
+        }
+        ev.run().unwrap();
+        ev.check_invariants().unwrap();
+        let res = ev.finish();
+        assert_eq!(res.stats.derived, 4, "K={shards}: each rule derives both");
+        assert_eq!(res.stats.inserted, 2, "K={shards}: both twins, once each");
+        assert_eq!(
+            res.relation("t").unwrap().sorted_tuples(),
+            want,
+            "K={shards}: a twin was lost or duplicated"
+        );
     }
 }
